@@ -3,11 +3,11 @@
 one snapshot against another.
 
 Snapshot mode:
-    perf_snapshot.py sim_throughput.csv BENCH_6.json [--label PR6]
+    perf_snapshot.py sim_throughput.csv BENCH_12.json [--label LABEL]
 
 Check mode (exits 1 on failure):
     perf_snapshot.py sim_throughput.csv current.json \
-        --check BENCH_6.json --tolerance 0.10
+        --check BENCH_12.json --tolerance 0.10
 
 Several CSVs may be given (repeated runs of the bench); each case
 takes its best rate across runs. Wall-clock noise on a busy host is
@@ -20,12 +20,16 @@ The check enforces two different contracts per case:
     is deterministic and must match the baseline exactly -- a drift
     means simulator semantics changed without a baseline refresh.
   * rate is a wall-clock measurement and only gates *relative*
-    regressions: the median current/baseline ratio across all shared
-    cases estimates the host-speed scale, and a case fails when
-    current < (1 - tolerance) * scale * baseline. A slower or busier
-    host shifts every case together (scale absorbs it); a code
-    regression hits specific cases relative to the untouched
-    baseline benches and trips the floor. Pass --raw-rates to gate
+    regressions: the median current/baseline ratio across the shared
+    anchor cases estimates the host-speed scale, and a case fails when
+    current < (1 - tolerance) * scale * baseline. The anchors are the
+    baseline benches that do not run the Canon cycle loop (every case
+    not named canon-*); the scale falls back to all shared cases only
+    when no anchor is shared. A slower or busier host shifts every
+    case together (scale absorbs it); a code regression hits specific
+    cases relative to the untouched anchors and trips the floor, and
+    a cycle-loop speedup lifts only canon-* cases, so it cannot drag
+    the anchors below a scale it inflated. Pass --raw-rates to gate
     absolute rates instead (same-host trajectory tracking only).
 Uniform wall-clock regressions are by construction invisible to the
 normalized gate; they remain inspectable in the emitted snapshots.
@@ -73,26 +77,42 @@ def merge_best(paths):
     return merged
 
 
+ANCHOR_EXCLUDE_PREFIX = "canon-"
+
+
 def host_scale(current, baseline):
-    """Median current/baseline rate ratio over shared cases."""
-    ratios = sorted(
-        cur["rate"] / base["rate"]
+    """Median current/baseline rate ratio over the shared anchor cases
+    (falling back to every shared case when none is an anchor).
+    Returns (scale, number of ratios, whether anchors were used)."""
+    ratios = {
+        name: cur["rate"] / base["rate"]
         for name, base in baseline["cases"].items()
         if base["rate"] > 0
         for cur in [current["cases"].get(name)]
-        if cur is not None)
-    if not ratios:
-        return 1.0
-    mid = len(ratios) // 2
-    if len(ratios) % 2:
-        return ratios[mid]
-    return 0.5 * (ratios[mid - 1] + ratios[mid])
+        if cur is not None}
+    anchors = sorted(r for name, r in ratios.items()
+                     if not name.startswith(ANCHOR_EXCLUDE_PREFIX))
+    picked = anchors or sorted(ratios.values())
+    if not picked:
+        return 1.0, 0, False
+    mid = len(picked) // 2
+    if len(picked) % 2:
+        scale = picked[mid]
+    else:
+        scale = 0.5 * (picked[mid - 1] + picked[mid])
+    return scale, len(picked), bool(anchors)
 
 
 def check(current, baseline, tolerance, raw_rates):
-    scale = 1.0 if raw_rates else host_scale(current, baseline)
-    print(f"host-speed scale: {scale:.3f}"
-          f"{' (raw rates)' if raw_rates else ' (median ratio)'}")
+    if raw_rates:
+        scale = 1.0
+        print(f"host-speed scale: {scale:.3f} (raw rates)")
+    else:
+        scale, n, anchored = host_scale(current, baseline)
+        basis = (f"{n} non-{ANCHOR_EXCLUDE_PREFIX}* anchor cases"
+                 if anchored else f"all {n} shared cases, no anchors")
+        print(f"host-speed scale: {scale:.3f} (median ratio over "
+              f"{basis})")
     failures = []
     for name, base in baseline["cases"].items():
         cur = current["cases"].get(name)

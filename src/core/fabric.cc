@@ -1,5 +1,7 @@
 #include "core/fabric.hh"
 
+#include <utility>
+
 #include "common/rng.hh"
 #include "obs/accounting.hh"
 #include "obs/collector.hh"
@@ -160,10 +162,13 @@ CanonFabric::load(KernelMapping mapping)
 
     out_ = WordMatrix(mapping_.outRows, mapping_.outCols);
 
+    // The streams move into their orchestrators: nothing reads
+    // mapping_.rowStreams after load, and a copy would hold every
+    // token twice for the whole run.
     for (int r = 0; r < cfg_.rows; ++r) {
         orchs_[r]->loadProgram(mapping_.program.get());
         if (r < static_cast<int>(mapping_.rowStreams.size()))
-            orchs_[r]->setStream(mapping_.rowStreams[r]);
+            orchs_[r]->setStream(std::move(mapping_.rowStreams[r]));
     }
 
     // Data placement (the second IR of Figure 6).

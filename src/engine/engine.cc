@@ -1,7 +1,12 @@
 #include "engine/engine.hh"
 
 #include <algorithm>
+#include <mutex>
 #include <thread>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "cache/payload.hh"
 #include "runner/shard.hh"
@@ -14,6 +19,24 @@ namespace engine
 
 namespace
 {
+
+/**
+ * Pin glibc's mmap threshold at its 128 KiB default, once per process.
+ * Left dynamic, the first free of a large transient buffer (proxy
+ * matrices, CSR arrays, token streams of a scenario) raises the
+ * threshold to that buffer's size, so later buffers of the same size
+ * come from arenas that keep their freed pages: every further pass of
+ * a long-lived engine peaks higher than the one before. With the
+ * threshold fixed such buffers are mapped and returned on free.
+ */
+void
+pinMmapThreshold()
+{
+#if defined(__GLIBC__)
+    static std::once_flag once;
+    std::call_once(once, [] { mallopt(M_MMAP_THRESHOLD, 128 * 1024); });
+#endif
+}
 
 /** Run one workload case across the requested architectures. */
 CaseResult
@@ -96,6 +119,7 @@ Engine::Engine(EngineConfig config)
                          1u, std::thread::hardware_concurrency()))),
       pool_(workers_)
 {
+    pinMmapThreshold();
     if (!config_.cacheDir.empty() &&
         config_.cacheMode != cache::Mode::Off)
         store_.emplace(config_.cacheDir, config_.cacheMode);

@@ -23,12 +23,10 @@ InstPipeline::issue(const Instruction &inst)
     issuedThisCycle_ = true;
 }
 
-const Instruction &
-InstPipeline::tap(int c) const
+void
+InstPipeline::tapFault(int c) const
 {
-    panicIf(c < 0 || c >= columns_, "InstPipeline: tap ", c, " out of ",
-            columns_);
-    return stages_[static_cast<std::size_t>(kIssueStagger) * c];
+    panic("InstPipeline: tap ", c, " out of ", columns_);
 }
 
 bool
@@ -47,9 +45,10 @@ void
 InstPipeline::tickCommit()
 {
     if (!frozen_) {
-        for (std::size_t i = stages_.size() - 1; i > 0; --i)
-            stages_[i] = stages_[i - 1];
-        stages_[0] = issuedThisCycle_ ? staged_ : nopInst();
+        // Advancing the head ages every stage by one; the slot it lands
+        // on held the oldest word, which falls off the end of the row.
+        head_ = head_ + 1 == stages_.size() ? 0 : head_ + 1;
+        stages_[head_] = issuedThisCycle_ ? staged_ : nopInst();
     }
     issuedThisCycle_ = false;
     staged_ = nopInst();

@@ -19,6 +19,7 @@
 #ifndef CANON_NOC_INST_PIPELINE_HH
 #define CANON_NOC_INST_PIPELINE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -43,7 +44,17 @@ class InstPipeline final : public Clocked
     void issue(const Instruction &inst);
 
     /** Instruction visible at PE column @p c this cycle. */
-    const Instruction &tap(int c) const;
+    const Instruction &
+    tap(int c) const
+    {
+        if (c < 0 || c >= columns_) [[unlikely]]
+            tapFault(c);
+        // Stage kIssueStagger * c sits that many slots behind the head.
+        const std::size_t back = static_cast<std::size_t>(kIssueStagger) *
+                                 static_cast<std::size_t>(c);
+        return stages_[head_ >= back ? head_ - back
+                                     : head_ + stages_.size() - back];
+    }
 
     /** Stop/resume shifting (spatial mode). */
     void freeze(bool on) { frozen_ = on; }
@@ -58,12 +69,17 @@ class InstPipeline final : public Clocked
     void tickCommit() override;
 
   private:
+    [[noreturn, gnu::cold, gnu::noinline]] void tapFault(int c) const;
+
     // The hardware shifts the encoded 64-bit word (encode/decode
     // round-trips exactly); the model keeps stages decoded so a tap is
-    // a reference into the shift array instead of a decode per PE per
-    // cycle.
+    // a reference into the stage array instead of a decode per PE per
+    // cycle. The array is a ring: stage 0 (the newest word) lives at
+    // head_ and stage i at head_ - i, so a shift moves head_ and writes
+    // one slot instead of moving every stage.
     int columns_;
     std::vector<Instruction> stages_;
+    std::size_t head_ = 0;
     Instruction staged_;
     bool issuedThisCycle_ = false;
     bool frozen_ = false;

@@ -20,45 +20,11 @@ Router::bindOut(Dir d, DataChannel *ch)
 }
 
 void
-Router::beginCycle()
+Router::portFault(Dir d, const char *port, const DataChannel *ch)
 {
-    usedIn_.fill(false);
-    usedOut_.fill(false);
-}
-
-bool
-Router::hasInput(Dir d) const
-{
-    auto *ch = in_[static_cast<int>(d)];
-    return ch && !ch->empty();
-}
-
-Vec4
-Router::readIn(Dir d)
-{
-    auto *ch = in_[static_cast<int>(d)];
-    panicIf(!ch, "Router: no channel bound at ", dirName(d), "_IN");
-    panicIf(usedIn_[static_cast<int>(d)],
-            "Router: second ", dirName(d),
-            "_IN transfer in one cycle (one per direction per cycle)");
-    usedIn_[static_cast<int>(d)] = true;
-    ++hops_;
-    Vec4 v = ch->front();
-    ch->pop();
-    return v;
-}
-
-void
-Router::writeOut(Dir d, const Vec4 &v)
-{
-    auto *ch = out_[static_cast<int>(d)];
-    panicIf(!ch, "Router: no channel bound at ", dirName(d), "_OUT");
-    panicIf(usedOut_[static_cast<int>(d)],
-            "Router: second ", dirName(d),
-            "_OUT transfer in one cycle (one per direction per cycle)");
-    usedOut_[static_cast<int>(d)] = true;
-    ++hops_;
-    ch->push(v);
+    panicIf(!ch, "Router: no channel bound at ", dirName(d), port);
+    panic("Router: second ", dirName(d), port,
+          " transfer in one cycle (one per direction per cycle)");
 }
 
 } // namespace canon

@@ -61,15 +61,47 @@ class Router
     }
 
     /** Reset per-cycle direction-usage accounting. */
-    void beginCycle();
+    void
+    beginCycle()
+    {
+        usedIn_ = 0;
+        usedOut_ = 0;
+    }
 
-    bool hasInput(Dir d) const;
+    bool
+    hasInput(Dir d) const
+    {
+        auto *ch = in_[static_cast<int>(d)];
+        return ch && !ch->empty();
+    }
 
     /** Consume the head of the @p d input channel (once per cycle). */
-    Vec4 readIn(Dir d);
+    Vec4
+    readIn(Dir d)
+    {
+        auto *ch = in_[static_cast<int>(d)];
+        const auto bit = dirBit(d);
+        if (!ch || (usedIn_ & bit)) [[unlikely]]
+            portFault(d, "_IN", ch);
+        usedIn_ |= bit;
+        ++hops_;
+        Vec4 v = ch->front();
+        ch->pop();
+        return v;
+    }
 
     /** Push onto the @p d output channel (once per cycle). */
-    void writeOut(Dir d, const Vec4 &v);
+    void
+    writeOut(Dir d, const Vec4 &v)
+    {
+        auto *ch = out_[static_cast<int>(d)];
+        const auto bit = dirBit(d);
+        if (!ch || (usedOut_ & bit)) [[unlikely]]
+            portFault(d, "_OUT", ch);
+        usedOut_ |= bit;
+        ++hops_;
+        ch->push(v);
+    }
 
     bool
     canWriteOut(Dir d) const
@@ -79,10 +111,20 @@ class Router
     }
 
   private:
+    static std::uint8_t
+    dirBit(Dir d)
+    {
+        return static_cast<std::uint8_t>(1u << static_cast<int>(d));
+    }
+
+    /** Unbound channel (@p ch null) or a second same-cycle transfer. */
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    portFault(Dir d, const char *port, const DataChannel *ch);
+
     std::array<DataChannel *, kNumDirs> in_{};
     std::array<DataChannel *, kNumDirs> out_{};
-    std::array<bool, kNumDirs> usedIn_{};
-    std::array<bool, kNumDirs> usedOut_{};
+    std::uint8_t usedIn_ = 0;  //!< bit d: a transfer came in from d
+    std::uint8_t usedOut_ = 0; //!< bit d: a transfer went out to d
     Counter &hops_;
 };
 

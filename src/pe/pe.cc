@@ -24,7 +24,7 @@ Pe::Pe(const PeGeometry &geo, int dmem_slots, int spad_slots,
 bool
 Pe::idle() const
 {
-    return !ldReg_.valid && !exReg_.valid;
+    return !stages_[0].valid && !stages_[1].valid;
 }
 
 Vec4
@@ -118,7 +118,7 @@ Pe::writeDest(Addr a, const Vec4 &v)
 }
 
 void
-Pe::commitStage(const StageReg &ex)
+Pe::commitStage(const StageReg &ex, const StageReg &next)
 {
     if (!ex.valid)
         return;
@@ -132,15 +132,15 @@ Pe::commitStage(const StageReg &ex)
     // is what keeps the scratchpad's power share modest at low
     // sparsity (Figure 11).
     auto next_overwrites = [&](Addr a) {
-        if (!ldReg_.valid)
+        if (!next.valid)
             return false;
         if (as::region(a) == AddrRegion::PortOut ||
             as::region(a) == AddrRegion::Null)
             return false;
-        if (ldReg_.inst.res == a && ldReg_.inst.op != OpCode::Nop &&
-            ldReg_.inst.op != OpCode::Hold)
+        if (next.inst.res == a && next.inst.op != OpCode::Nop &&
+            next.inst.op != OpCode::Hold)
             return true;
-        return ldReg_.inst.op == OpCode::VFlush && ldReg_.inst.op1 == a;
+        return next.inst.op == OpCode::VFlush && next.inst.op1 == a;
     };
 
     switch (inst.op) {
@@ -175,12 +175,11 @@ Pe::commitStage(const StageReg &ex)
         router_.writeOut(Dir::East, ex.routeW2E);
 }
 
-Pe::StageReg
-Pe::executeStage(const StageReg &ld)
+void
+Pe::executeStage(StageReg &ld)
 {
-    StageReg ex = ld;
     if (!ld.valid)
-        return ex;
+        return;
 
     Vec4 r;
     switch (ld.inst.op) {
@@ -215,18 +214,18 @@ Pe::executeStage(const StageReg &ld)
       case OpCode::NumOpCodes:
         panic(name_, ": corrupt opcode at EXECUTE");
     }
-    ex.resultForwarded = r;
-    return ex;
+    ld.resultForwarded = r;
 }
 
-Pe::StageReg
-Pe::loadStage(const Instruction &inst, const StageReg &fwd)
+void
+Pe::loadStage(StageReg &ld, const Instruction &inst, const StageReg &fwd)
 {
-    StageReg ld;
     ld.inst = inst;
     ld.valid = !inst.isNop();
+    ld.routeN2SValid = false;
+    ld.routeW2EValid = false;
     if (!ld.valid)
-        return ld;
+        return;
 
     switch (inst.op) {
       case OpCode::Nop:
@@ -264,8 +263,6 @@ Pe::loadStage(const Instruction &inst, const StageReg &fwd)
         ld.routeW2E = readPort(Dir::West);
         ld.routeW2EValid = true;
     }
-
-    return ld;
 }
 
 bool
@@ -302,16 +299,16 @@ Pe::tickCompute()
     if (pipe_ && mode_ != PeMode::Config)
         inst = pipe_->tap(geo_.col);
 
+    StageReg &ld = stages_[ld_];
+    StageReg &ex = stages_[ld_ ^ 1];
+
     // Idle fast path: an empty pipeline looking at a NOP tap does no
     // work this cycle. Spatial mode is excluded -- its firing rule
     // reads channel occupancy that other components change within the
     // same compute phase, so it must be evaluated in stage order below.
-    if (!ldReg_.valid && !exReg_.valid && mode_ != PeMode::Spatial &&
-        inst.isNop()) {
-        exNext_.valid = false;
-        ldNext_.valid = false;
+    if (!ld.valid && !ex.valid && mode_ != PeMode::Spatial &&
+        inst.isNop())
         return;
-    }
 
     router_.beginCycle();
     portCacheValid_ = 0;
@@ -321,25 +318,22 @@ Pe::tickCompute()
     // Stages run newest-result-visible-first: COMMIT applies the
     // in-flight write, EXECUTE produces the forwardable result, LOAD
     // then reads with both visible -- exact sequential semantics.
-    commitStage(exReg_);
-    exNext_ = executeStage(ldReg_);
+    commitStage(ex, ld);
+    const bool committed = ex.valid;
+    executeStage(ld);
 
     // The spatial firing rule reads port occupancy *after* this PE's
     // own COMMIT staged its pushes, exactly as the held hardware
     // pipeline would observe it.
     if (mode_ == PeMode::Spatial && !spatialReady(inst))
         inst = nopInst();
-    ldNext_ = loadStage(inst, exNext_);
+    // The committed slot is free: the next instruction loads into it,
+    // and the executed one moves on to COMMIT by the role flip.
+    loadStage(ex, inst, ld);
+    ld_ ^= 1;
 
-    if (ldNext_.valid || exNext_.valid || exReg_.valid)
+    if (ex.valid || ld.valid || committed)
         ++busyCycles_;
-}
-
-void
-Pe::tickCommit()
-{
-    exReg_ = exNext_;
-    ldReg_ = ldNext_;
 }
 
 } // namespace canon

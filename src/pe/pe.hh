@@ -20,6 +20,17 @@
  * Structural rules from Section 3.1 are enforced by panics: one
  * transfer per NoC direction per cycle, one read and one write port on
  * each local memory per cycle.
+ *
+ * The pipeline advances in place. Two stage slots hold the LOAD->EXECUTE
+ * and EXECUTE->COMMIT registers; an instruction keeps its slot from
+ * LOAD to COMMIT while the slots swap roles every cycle. Within
+ * tickCompute the EX slot commits, the LD slot executes in place, the
+ * next instruction loads into the slot COMMIT just freed, and the role
+ * index flips. Doing all of that in the compute phase is safe because
+ * stage state is PE-private, exactly like the registers and local
+ * memories already written there: no other component reads it, and
+ * nothing reads it during the commit phase, so there is nothing to
+ * publish and Pe has no commit phase (kHasTickCommit = false).
  */
 
 #ifndef CANON_PE_PE_HH
@@ -54,6 +65,9 @@ struct PeGeometry
 class Pe final : public Clocked
 {
   public:
+    /** Stage state is PE-private and advances in place at compute. */
+    static constexpr bool kHasTickCommit = false;
+
     Pe(const PeGeometry &geo, int dmem_slots, int spad_slots,
        StatGroup &stats);
 
@@ -83,13 +97,15 @@ class Pe final : public Clocked
     int col() const { return geo_.col; }
 
     void tickCompute() override;
-    void tickCommit() override;
+    void tickCommit() override {}
 
   private:
     /**
-     * Pipeline register between LOAD/EXECUTE and EXECUTE/COMMIT.
-     * Kept trivially copyable (plain Vec4 + valid flags rather than
-     * optionals) so the per-cycle register updates are flat copies.
+     * Pipeline register between LOAD/EXECUTE and EXECUTE/COMMIT. An
+     * instruction's slot is reused from LOAD to COMMIT, and a LOAD
+     * overwrites whatever the slot held before: every field a stage
+     * reads is either written by LOAD for that opcode or guarded by a
+     * valid flag that LOAD resets.
      */
     struct StageReg
     {
@@ -106,9 +122,12 @@ class Pe final : public Clocked
         bool valid = false;
     };
 
-    void commitStage(const StageReg &ex);
-    StageReg executeStage(const StageReg &ld);
-    StageReg loadStage(const Instruction &inst, const StageReg &fwd);
+    /** COMMIT @p ex; @p next is the instruction one stage behind. */
+    void commitStage(const StageReg &ex, const StageReg &next);
+    void executeStage(StageReg &ld);
+    /** LOAD @p inst into @p slot; @p fwd is the just-executed stage. */
+    void loadStage(StageReg &slot, const Instruction &inst,
+                   const StageReg &fwd);
 
     /**
      * Spatial-mode firing rule: a held instruction executes only when
@@ -131,10 +150,10 @@ class Pe final : public Clocked
     InstPipeline *pipe_ = nullptr;
     PeMode mode_ = PeMode::Streaming;
 
-    StageReg ldReg_;  //!< instruction between LOAD and EXECUTE
-    StageReg exReg_;  //!< instruction between EXECUTE and COMMIT
-    StageReg ldNext_;
-    StageReg exNext_;
+    // stages_[ld_] sits between LOAD and EXECUTE, stages_[ld_ ^ 1]
+    // between EXECUTE and COMMIT.
+    std::array<StageReg, 2> stages_{};
+    int ld_ = 0;
 
     // Per-cycle port-read cache: one physical pop feeds every consumer
     // of the same input port in one instruction. Valid bits live in a

@@ -10,6 +10,9 @@
  *    a vertical psum channel between PE rows, or an orchestrator message
  *    channel). Pushes and pops staged during a cycle are applied at the
  *    commit boundary; the head read during a cycle is the pre-cycle head.
+ *    Storage is one fixed ring of `capacity` slots: staged pushes are
+ *    written in place past the committed entries, so a commit only
+ *    moves indices and no cycle allocates.
  *    Overflow and pop-from-empty panic: in Canon, orchestration is
  *    deterministic by construction, so either indicates a mis-programmed
  *    FSM (or a simulator bug), never a run-time condition to recover from.
@@ -18,8 +21,8 @@
 #ifndef CANON_SIM_LATCH_HH
 #define CANON_SIM_LATCH_HH
 
-#include <deque>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -61,13 +64,13 @@ class ChannelFifo
 {
   public:
     explicit ChannelFifo(std::size_t capacity, std::string name = "chan")
-        : cap_(capacity), name_(std::move(name))
+        : buf_(capacity), cap_(capacity), name_(std::move(name))
     {
         panicIf(cap_ == 0, "ChannelFifo ", name_, ": zero capacity");
     }
 
-    bool empty() const { return q_.empty(); }
-    std::size_t size() const { return q_.size(); }
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
     std::size_t capacity() const { return cap_; }
 
     /**
@@ -75,35 +78,35 @@ class ChannelFifo
      * count against capacity, staged pops do not free space until the
      * next cycle (register semantics).
      */
-    bool
-    canPush() const
-    {
-        return q_.size() + stagedPush_.size() < cap_;
-    }
+    bool canPush() const { return count_ + staged_ < cap_; }
 
     /** Head visible this cycle. */
     const T &
     front() const
     {
-        panicIf(q_.empty(), "ChannelFifo ", name_, ": front() on empty");
-        return q_.front();
+        if (count_ == 0) [[unlikely]]
+            emptyFault("front()");
+        return buf_[head_];
     }
 
     /** Stage a push; panics on overflow (deterministic design violated). */
     void
     push(T v)
     {
-        panicIf(!canPush(), "ChannelFifo ", name_, ": overflow (cap=",
-                cap_, ")");
-        stagedPush_.push_back(std::move(v));
+        if (!canPush()) [[unlikely]]
+            overflowFault();
+        buf_[wrap(head_ + count_ + staged_)] = std::move(v);
+        ++staged_;
     }
 
     /** Stage a pop of the current head. */
     void
     pop()
     {
-        panicIf(q_.empty(), "ChannelFifo ", name_, ": pop() on empty");
-        panicIf(stagedPop_, "ChannelFifo ", name_, ": double pop in cycle");
+        if (count_ == 0) [[unlikely]]
+            emptyFault("pop()");
+        if (stagedPop_) [[unlikely]]
+            doublePopFault();
         stagedPop_ = true;
     }
 
@@ -111,25 +114,54 @@ class ChannelFifo
     commit()
     {
         if (stagedPop_) {
-            q_.pop_front();
+            head_ = wrap(head_ + 1);
+            --count_;
             stagedPop_ = false;
         }
-        for (auto &v : stagedPush_)
-            q_.push_back(std::move(v));
-        stagedPush_.clear();
+        count_ += staged_;
+        staged_ = 0;
     }
 
     void
     clear()
     {
-        q_.clear();
-        stagedPush_.clear();
+        head_ = count_ = staged_ = 0;
         stagedPop_ = false;
     }
 
   private:
-    std::deque<T> q_;
-    std::vector<T> stagedPush_;
+    // Ring layout: the count_ committed entries start at head_, the
+    // staged_ pushes sit just past them. canPush() keeps their sum
+    // within the capacity, so a staged push never lands on the head
+    // that front() still shows this cycle.
+    std::size_t
+    wrap(std::size_t i) const
+    {
+        return i >= cap_ ? i - cap_ : i;
+    }
+
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    emptyFault(const char *what) const
+    {
+        panic("ChannelFifo ", name_, ": ", what, " on empty");
+    }
+
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    overflowFault() const
+    {
+        panic("ChannelFifo ", name_, ": overflow (cap=", cap_, ")");
+    }
+
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    doublePopFault() const
+    {
+        panic("ChannelFifo ", name_, ": double pop in cycle");
+    }
+
+    std::vector<T> buf_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+    std::size_t staged_ = 0;
     bool stagedPop_ = false;
     std::size_t cap_;
     std::string name_;

@@ -4,7 +4,9 @@
  * pipeline. Verifies 3-stage timing, exact forwarding for
  * back-to-back accumulation, VFlush's recycle-zeroing, routing
  * pass-through, port discipline panics, and memory/register
- * semantics.
+ * semantics. Every pipeline case runs twice: once with the PE in the
+ * virtual partition (which still calls its empty tickCommit) and once
+ * in its typed partition (which has no commit pass).
  */
 
 #include <gtest/gtest.h>
@@ -20,11 +22,22 @@ namespace
 
 namespace as = addrspace;
 
+// The PE has no commit phase: its stage slots advance in place during
+// compute, so the typed schedule leaves it out of the commit pass.
+static_assert(!tickHasCommit<Pe>());
+
+/** How the harness registers its components with the Simulator. */
+enum class Registration
+{
+    Virtual, //!< Simulator::add: both phases, Pe::tickCommit included
+    Typed,   //!< Simulator::addTyped: dead phases elided
+};
+
 /** Single-PE harness with channels on all four sides. */
 class PeHarness
 {
   public:
-    PeHarness()
+    explicit PeHarness(Registration reg)
         : stats("t"), pe(PeGeometry{0, 0}, 64, 8, stats), pipe(1),
           north(8, "n"), south(8, "s"), east(8, "e"), west(8, "w")
     {
@@ -33,10 +46,17 @@ class PeHarness
         pe.router().bindOut(Dir::South, &south);
         pe.router().bindIn(Dir::West, &west);
         pe.router().bindOut(Dir::East, &east);
-        sim.add(&pipe);
-        sim.add(&pe);
-        sim.add(&committer);
-        committer.chans = {&north, &south, &east, &west};
+        for (auto *ch : {&north, &south, &east, &west})
+            commits.add(ch);
+        if (reg == Registration::Virtual) {
+            sim.add(&pipe);
+            sim.add(&pe);
+            sim.add(&committer);
+        } else {
+            sim.addTyped(&pipe);
+            sim.addTyped(&pe);
+            sim.addTyped(&commits);
+        }
     }
 
     void
@@ -54,16 +74,13 @@ class PeHarness
             step();
     }
 
+    /** Virtual-path stand-in for the fabric's FifoCommitList. */
     struct Committer : Clocked
     {
-        std::vector<ChannelFifo<Vec4> *> chans;
+        FifoCommitList<Vec4> *list;
+        explicit Committer(FifoCommitList<Vec4> *l) : list(l) {}
         void tickCompute() override {}
-        void
-        tickCommit() override
-        {
-            for (auto *c : chans)
-                c->commit();
-        }
+        void tickCommit() override { list->tickCommit(); }
     };
 
     StatGroup stats;
@@ -71,8 +88,22 @@ class PeHarness
     Pe pe;
     InstPipeline pipe;
     DataChannel north, south, east, west;
-    Committer committer;
+    FifoCommitList<Vec4> commits;
+    Committer committer{&commits};
 };
+
+/** Run @p body once on a harness of each registration path. */
+template <typename Body>
+void
+forEachRegistration(Body body)
+{
+    for (auto reg : {Registration::Virtual, Registration::Typed}) {
+        SCOPED_TRACE(reg == Registration::Virtual ? "Simulator::add"
+                                                  : "Simulator::addTyped");
+        PeHarness h(reg);
+        body(h);
+    }
+}
 
 Instruction
 inst(OpCode op, Addr a, Addr b, Addr r, std::uint8_t route = 0)
@@ -88,156 +119,188 @@ inst(OpCode op, Addr a, Addr b, Addr r, std::uint8_t route = 0)
 
 TEST(PePipeline, VMovThreeStageLatency)
 {
-    PeHarness h;
-    h.pe.dmem().poke(3, Vec4{{7, 8, 9, 10}});
-    h.issue(inst(OpCode::VMov, as::dmem(3), as::kNullAddr, as::reg(0)));
-    // Tap at cycle 1 (issue latch), LOAD 1, EXEC 2, COMMIT 3.
-    h.run(3);
-    EXPECT_TRUE(h.pe.reg(0).isZero());
-    h.run(1);
-    EXPECT_EQ(h.pe.reg(0), (Vec4{{7, 8, 9, 10}}));
+    forEachRegistration([](PeHarness &h) {
+        h.pe.dmem().poke(3, Vec4{{7, 8, 9, 10}});
+        h.issue(inst(OpCode::VMov, as::dmem(3), as::kNullAddr, as::reg(0)));
+        // Tap at cycle 1 (issue latch), LOAD 1, EXEC 2, COMMIT 3.
+        h.run(3);
+        EXPECT_TRUE(h.pe.reg(0).isZero());
+        h.run(1);
+        EXPECT_EQ(h.pe.reg(0), (Vec4{{7, 8, 9, 10}}));
+    });
 }
 
 TEST(PePipeline, BackToBackAccumulationForwards)
 {
     // Three consecutive SvMacs into the same register must see each
     // other's results exactly (the dense inner loop).
-    PeHarness h;
-    h.pe.dmem().poke(0, Vec4{{1, 2, 3, 4}});
-    h.west.push(Vec4{{2, 0, 0, 0}});
-    h.west.push(Vec4{{3, 0, 0, 0}});
-    h.west.push(Vec4{{5, 0, 0, 0}});
-    h.west.commit();
+    forEachRegistration([](PeHarness &h) {
+        h.pe.dmem().poke(0, Vec4{{1, 2, 3, 4}});
+        h.west.push(Vec4{{2, 0, 0, 0}});
+        h.west.push(Vec4{{3, 0, 0, 0}});
+        h.west.push(Vec4{{5, 0, 0, 0}});
+        h.west.commit();
 
-    const auto mac = inst(OpCode::SvMac, as::portIn(Dir::West),
-                          as::dmem(0), as::reg(1));
-    h.issue(mac);
-    h.step();
-    h.issue(mac);
-    h.step();
-    h.issue(mac);
-    h.run(5);
-    // (2+3+5) * [1,2,3,4]
-    EXPECT_EQ(h.pe.reg(1), (Vec4{{10, 20, 30, 40}}));
+        const auto mac = inst(OpCode::SvMac, as::portIn(Dir::West),
+                              as::dmem(0), as::reg(1));
+        h.issue(mac);
+        h.step();
+        h.issue(mac);
+        h.step();
+        h.issue(mac);
+        h.run(5);
+        // (2+3+5) * [1,2,3,4]
+        EXPECT_EQ(h.pe.reg(1), (Vec4{{10, 20, 30, 40}}));
+    });
 }
 
 TEST(PePipeline, VFlushZeroesSourceAndSendsSouth)
 {
-    PeHarness h;
-    h.pe.spad().poke(2, Vec4{{5, 6, 7, 8}});
-    h.issue(inst(OpCode::VFlush, as::spad(2), as::kNullAddr,
-                 as::portOut(Dir::South)));
-    h.run(5);
-    EXPECT_TRUE(h.pe.spad().peek(2).isZero());
-    ASSERT_FALSE(h.south.empty());
-    EXPECT_EQ(h.south.front(), (Vec4{{5, 6, 7, 8}}));
+    forEachRegistration([](PeHarness &h) {
+        h.pe.spad().poke(2, Vec4{{5, 6, 7, 8}});
+        h.issue(inst(OpCode::VFlush, as::spad(2), as::kNullAddr,
+                     as::portOut(Dir::South)));
+        h.run(5);
+        EXPECT_TRUE(h.pe.spad().peek(2).isZero());
+        ASSERT_FALSE(h.south.empty());
+        EXPECT_EQ(h.south.front(), (Vec4{{5, 6, 7, 8}}));
+    });
 }
 
 TEST(PePipeline, VFlushThenImmediateMacSeesZero)
 {
     // The recycled-slot hazard: a MAC issued right after a flush of
     // the same slot must accumulate from zero, not the stale psum.
-    PeHarness h;
-    h.pe.spad().poke(0, Vec4{{100, 100, 100, 100}});
-    h.pe.dmem().poke(0, Vec4{{1, 1, 1, 1}});
-    h.west.push(Vec4{{4, 0, 0, 0}});
-    h.west.commit();
+    forEachRegistration([](PeHarness &h) {
+        h.pe.spad().poke(0, Vec4{{100, 100, 100, 100}});
+        h.pe.dmem().poke(0, Vec4{{1, 1, 1, 1}});
+        h.west.push(Vec4{{4, 0, 0, 0}});
+        h.west.commit();
 
-    h.issue(inst(OpCode::VFlush, as::spad(0), as::kNullAddr,
-                 as::portOut(Dir::South)));
-    h.step();
-    h.issue(inst(OpCode::SvMac, as::portIn(Dir::West), as::dmem(0),
-                 as::spad(0)));
-    h.run(5);
-    EXPECT_EQ(h.pe.spad().peek(0), (Vec4{{4, 4, 4, 4}}));
+        h.issue(inst(OpCode::VFlush, as::spad(0), as::kNullAddr,
+                     as::portOut(Dir::South)));
+        h.step();
+        h.issue(inst(OpCode::SvMac, as::portIn(Dir::West), as::dmem(0),
+                     as::spad(0)));
+        h.run(5);
+        EXPECT_EQ(h.pe.spad().peek(0), (Vec4{{4, 4, 4, 4}}));
+    });
 }
 
 TEST(PePipeline, RoutePassThroughNorthToSouth)
 {
-    PeHarness h;
-    h.north.push(Vec4{{9, 9, 9, 9}});
-    h.north.commit();
-    h.issue(inst(OpCode::Nop, as::kNullAddr, as::kNullAddr,
-                 as::kNullAddr, kRouteN2S));
-    h.run(5);
-    ASSERT_FALSE(h.south.empty());
-    EXPECT_EQ(h.south.front(), (Vec4{{9, 9, 9, 9}}));
-    EXPECT_TRUE(h.north.empty());
+    forEachRegistration([](PeHarness &h) {
+        h.north.push(Vec4{{9, 9, 9, 9}});
+        h.north.commit();
+        h.issue(inst(OpCode::Nop, as::kNullAddr, as::kNullAddr,
+                     as::kNullAddr, kRouteN2S));
+        h.run(5);
+        ASSERT_FALSE(h.south.empty());
+        EXPECT_EQ(h.south.front(), (Vec4{{9, 9, 9, 9}}));
+        EXPECT_TRUE(h.north.empty());
+    });
+}
+
+TEST(PePipeline, RouteDoesNotOutliveItsInstruction)
+{
+    // Stage slots are reused: the instruction two behind a routing one
+    // loads into the same slot and must not inherit its route.
+    forEachRegistration([](PeHarness &h) {
+        h.north.push(Vec4{{9, 9, 9, 9}});
+        h.north.commit();
+        h.issue(inst(OpCode::Nop, as::kNullAddr, as::kNullAddr,
+                     as::kNullAddr, kRouteN2S));
+        for (int r = 0; r < 2; ++r) {
+            h.step();
+            h.issue(inst(OpCode::VMov, as::kZeroAddr, as::kNullAddr,
+                         as::reg(r)));
+        }
+        h.run(5);
+        EXPECT_EQ(h.south.size(), 1u);
+        EXPECT_TRUE(h.north.empty());
+    });
 }
 
 TEST(PePipeline, SharedPortPopFeedsOperandAndRoute)
 {
     // SvMac consuming W_IN while also routing W->E: one physical pop.
-    PeHarness h;
-    h.pe.dmem().poke(0, Vec4{{1, 1, 1, 1}});
-    h.west.push(Vec4{{6, 0, 0, 0}});
-    h.west.commit();
-    h.issue(inst(OpCode::SvMac, as::portIn(Dir::West), as::dmem(0),
-                 as::reg(0), kRouteW2E));
-    h.run(5);
-    EXPECT_EQ(h.pe.reg(0), (Vec4{{6, 6, 6, 6}}));
-    ASSERT_FALSE(h.east.empty());
-    EXPECT_EQ(h.east.front()[0], 6);
-    EXPECT_TRUE(h.west.empty());
+    forEachRegistration([](PeHarness &h) {
+        h.pe.dmem().poke(0, Vec4{{1, 1, 1, 1}});
+        h.west.push(Vec4{{6, 0, 0, 0}});
+        h.west.commit();
+        h.issue(inst(OpCode::SvMac, as::portIn(Dir::West), as::dmem(0),
+                     as::reg(0), kRouteW2E));
+        h.run(5);
+        EXPECT_EQ(h.pe.reg(0), (Vec4{{6, 6, 6, 6}}));
+        ASSERT_FALSE(h.east.empty());
+        EXPECT_EQ(h.east.front()[0], 6);
+        EXPECT_TRUE(h.west.empty());
+    });
 }
 
 TEST(PePipeline, VvMacWChainsWestPsum)
 {
-    PeHarness h;
-    h.pe.spad().poke(0, Vec4{{1, 2, 3, 4}});
-    h.pe.dmem().poke(0, Vec4{{2, 2, 2, 2}});
-    h.west.push(Vec4{{10, 20, 30, 40}});
-    h.west.commit();
-    h.issue(inst(OpCode::VvMacW, as::spad(0), as::dmem(0),
-                 as::portOut(Dir::East)));
-    h.run(5);
-    ASSERT_FALSE(h.east.empty());
-    EXPECT_EQ(h.east.front(), (Vec4{{12, 24, 36, 48}}));
+    forEachRegistration([](PeHarness &h) {
+        h.pe.spad().poke(0, Vec4{{1, 2, 3, 4}});
+        h.pe.dmem().poke(0, Vec4{{2, 2, 2, 2}});
+        h.west.push(Vec4{{10, 20, 30, 40}});
+        h.west.commit();
+        h.issue(inst(OpCode::VvMacW, as::spad(0), as::dmem(0),
+                     as::portOut(Dir::East)));
+        h.run(5);
+        ASSERT_FALSE(h.east.empty());
+        EXPECT_EQ(h.east.front(), (Vec4{{12, 24, 36, 48}}));
+    });
 }
 
 TEST(PePipeline, ReadingEmptyPortPanics)
 {
-    PeHarness h;
-    h.issue(inst(OpCode::VMov, as::portIn(Dir::North), as::kNullAddr,
-                 as::reg(0)));
-    EXPECT_THROW(h.run(3), PanicError);
+    forEachRegistration([](PeHarness &h) {
+        h.issue(inst(OpCode::VMov, as::portIn(Dir::North), as::kNullAddr,
+                     as::reg(0)));
+        EXPECT_THROW(h.run(3), PanicError);
+    });
 }
 
 TEST(PePipeline, TwoSpadReadsPanics)
 {
-    PeHarness h;
-    h.issue(inst(OpCode::VAdd, as::spad(0), as::spad(1), as::reg(0)));
-    EXPECT_THROW(h.run(3), PanicError);
+    forEachRegistration([](PeHarness &h) {
+        h.issue(inst(OpCode::VAdd, as::spad(0), as::spad(1), as::reg(0)));
+        EXPECT_THROW(h.run(3), PanicError);
+    });
 }
 
 TEST(PePipeline, ZeroAddrReadsZero)
 {
-    PeHarness h;
-    h.pe.pokeReg(2, Vec4{{5, 5, 5, 5}});
-    h.issue(inst(OpCode::VAdd, as::kZeroAddr, as::reg(2), as::reg(3)));
-    h.run(4);
-    EXPECT_EQ(h.pe.reg(3), (Vec4{{5, 5, 5, 5}}));
+    forEachRegistration([](PeHarness &h) {
+        h.pe.pokeReg(2, Vec4{{5, 5, 5, 5}});
+        h.issue(inst(OpCode::VAdd, as::kZeroAddr, as::reg(2), as::reg(3)));
+        h.run(4);
+        EXPECT_EQ(h.pe.reg(3), (Vec4{{5, 5, 5, 5}}));
+    });
 }
 
 TEST(PePipeline, NullDestinationDiscards)
 {
-    PeHarness h;
-    h.pe.pokeReg(0, Vec4{{1, 1, 1, 1}});
-    h.issue(
-        inst(OpCode::VMov, as::reg(0), as::kNullAddr, as::kNullAddr));
-    EXPECT_NO_THROW(h.run(4));
+    forEachRegistration([](PeHarness &h) {
+        h.pe.pokeReg(0, Vec4{{1, 1, 1, 1}});
+        h.issue(
+            inst(OpCode::VMov, as::reg(0), as::kNullAddr, as::kNullAddr));
+        EXPECT_NO_THROW(h.run(4));
+    });
 }
 
 TEST(PePipeline, IdleWhenDrained)
 {
-    PeHarness h;
-    EXPECT_TRUE(h.pe.idle());
-    h.issue(inst(OpCode::VMov, as::kZeroAddr, as::kNullAddr,
-                 as::reg(0)));
-    h.run(2); // issue latch + LOAD
-    EXPECT_FALSE(h.pe.idle());
-    h.run(4);
-    EXPECT_TRUE(h.pe.idle());
+    forEachRegistration([](PeHarness &h) {
+        EXPECT_TRUE(h.pe.idle());
+        h.issue(inst(OpCode::VMov, as::kZeroAddr, as::kNullAddr,
+                     as::reg(0)));
+        h.run(2); // issue latch + LOAD
+        EXPECT_FALSE(h.pe.idle());
+        h.run(4);
+        EXPECT_TRUE(h.pe.idle());
+    });
 }
 
 TEST(VecRam, BoundsAndStats)

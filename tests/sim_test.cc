@@ -1,12 +1,17 @@
 /**
  * @file
- * Simulation-kernel tests: two-phase latch/channel semantics, the
- * watchdog, the staggered instruction pipeline (the 3-cycle offset of
- * Figure 2/3), and message-channel timing alignment.
+ * Simulation-kernel tests: two-phase latch/channel semantics (the ring
+ * ChannelFifo against a deque reference model), the watchdog, the
+ * staggered instruction pipeline (the 3-cycle offset of Figure 2/3,
+ * across ring wrap-around), and message-channel timing alignment.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <vector>
+
+#include "common/rng.hh"
 #include "noc/inst_pipeline.hh"
 #include "orch/msg_channel.hh"
 #include "sim/latch.hh"
@@ -78,6 +83,130 @@ TEST(ChannelFifo, StagedPushCountsAgainstCapacity)
     ch.pop();     // frees space only next cycle
     ch.push(2);   // 1 resident + 1 staged = at capacity
     EXPECT_FALSE(ch.canPush());
+}
+
+/**
+ * Reference semantics for ChannelFifo: the committed queue as a
+ * std::deque plus separately staged pushes and pop. Each operation
+ * returns false exactly where the real FIFO must panic.
+ */
+class FifoModel
+{
+  public:
+    explicit FifoModel(std::size_t cap) : cap_(cap) {}
+
+    bool canPush() const { return q_.size() + staged_.size() < cap_; }
+    const std::deque<int> &queue() const { return q_; }
+    bool popStaged() const { return popStaged_; }
+
+    bool
+    push(int v)
+    {
+        if (!canPush())
+            return false;
+        staged_.push_back(v);
+        return true;
+    }
+
+    bool
+    pop()
+    {
+        if (q_.empty() || popStaged_)
+            return false;
+        popStaged_ = true;
+        return true;
+    }
+
+    void
+    commit()
+    {
+        if (popStaged_)
+            q_.pop_front();
+        popStaged_ = false;
+        q_.insert(q_.end(), staged_.begin(), staged_.end());
+        staged_.clear();
+    }
+
+    void
+    clear()
+    {
+        q_.clear();
+        staged_.clear();
+        popStaged_ = false;
+    }
+
+  private:
+    std::size_t cap_;
+    std::deque<int> q_;
+    std::vector<int> staged_;
+    bool popStaged_ = false;
+};
+
+template <typename F>
+bool
+panics(F &&f)
+{
+    try {
+        f();
+    } catch (const PanicError &) {
+        return true;
+    }
+    return false;
+}
+
+TEST(ChannelFifo, RingMatchesDequeModel)
+{
+    Rng rng(0xc4a77e1f1f0ull);
+    for (std::size_t cap = 1; cap <= 9; ++cap) {
+        ChannelFifo<int> ring(cap, "t");
+        FifoModel model(cap);
+        std::uint64_t committed_pushes = 0;
+        int full_pop_push = 0; // pop staged, push tried, while full
+        int pop_push = 0;      // pop and push staged in one cycle
+        for (int step = 0; step < 5000; ++step) {
+            SCOPED_TRACE(::testing::Message()
+                         << "cap " << cap << " step " << step);
+            const auto op = rng.nextBounded(100);
+            bool expect_ok = true;
+            bool threw = false;
+            if (op < 40) {
+                const bool full = model.queue().size() == cap;
+                const bool popped = model.popStaged();
+                const int v = step;
+                expect_ok = model.push(v);
+                threw = panics([&] { ring.push(v); });
+                full_pop_push += full && popped;
+                pop_push += expect_ok && popped;
+            } else if (op < 65) {
+                expect_ok = model.pop();
+                threw = panics([&] { ring.pop(); });
+            } else if (op < 98) {
+                committed_pushes += ring.size();
+                model.commit();
+                ring.commit();
+            } else {
+                model.clear();
+                ring.clear();
+            }
+            ASSERT_EQ(threw, !expect_ok);
+            ASSERT_EQ(ring.size(), model.queue().size());
+            ASSERT_EQ(ring.empty(), model.queue().empty());
+            ASSERT_EQ(ring.canPush(), model.canPush());
+            if (model.queue().empty()) {
+                ASSERT_TRUE(panics([&] { (void)ring.front(); }));
+            } else {
+                ASSERT_EQ(ring.front(), model.queue().front());
+            }
+        }
+        // The mix must have reached the cases the ring layout makes
+        // interesting: many trips around the ring, and a pop staged
+        // together with a push (accepted, or refused because full).
+        EXPECT_GT(committed_pushes, 20 * cap);
+        EXPECT_GT(full_pop_push, 0);
+        if (cap > 1) {
+            EXPECT_GT(pop_push, 0);
+        }
+    }
 }
 
 namespace
@@ -261,6 +390,73 @@ TEST(InstPipeline, DoubleIssuePanics)
     InstPipeline pipe(2);
     pipe.issue(nopInst());
     EXPECT_THROW(pipe.issue(nopInst()), PanicError);
+}
+
+TEST(InstPipeline, RingTapsMatchIssueHistory)
+{
+    Rng rng(0x1257aa5ull);
+    auto random_inst = [&rng] {
+        Instruction i;
+        i.op = static_cast<OpCode>(rng.nextBounded(
+            static_cast<std::uint64_t>(OpCode::NumOpCodes)));
+        i.op1 = static_cast<Addr>(rng.nextBounded(0x600));
+        i.op2 = static_cast<Addr>(rng.nextBounded(0x600));
+        i.res = static_cast<Addr>(rng.nextBounded(0x600));
+        i.route = static_cast<std::uint8_t>(rng.nextBounded(4));
+        return i;
+    };
+    for (int cols : {1, 2, 3, 7}) {
+        SCOPED_TRACE(::testing::Message() << cols << " columns");
+        InstPipeline pipe(cols);
+        const int stages = kIssueStagger * (cols - 1) + 1;
+
+        // history[t] entered the row at the t-th commit; cycles with no
+        // issue shift a NOP in.
+        std::vector<Instruction> history;
+        for (int t = 0; t < 3 * stages + 11; ++t) {
+            Instruction in = nopInst();
+            if (rng.nextBool(0.8)) {
+                in = random_inst();
+                pipe.issue(in);
+            }
+            pipe.tickCommit();
+            history.push_back(in);
+            for (int c = 0; c < cols; ++c) {
+                const int back = kIssueStagger * c;
+                const Instruction want =
+                    t >= back ? history[static_cast<std::size_t>(t - back)]
+                              : nopInst();
+                ASSERT_EQ(pipe.tap(c), want) << "cycle " << t << " col " << c;
+            }
+        }
+        EXPECT_THROW((void)pipe.tap(cols), PanicError);
+        EXPECT_THROW((void)pipe.tap(-1), PanicError);
+
+        // Frozen: taps hold whatever is issued meanwhile.
+        std::vector<Instruction> held;
+        for (int c = 0; c < cols; ++c)
+            held.push_back(pipe.tap(c));
+        pipe.freeze(true);
+        for (int t = 0; t < stages + 5; ++t) {
+            pipe.issue(random_inst());
+            pipe.tickCommit();
+            for (int c = 0; c < cols; ++c)
+                ASSERT_EQ(pipe.tap(c), held[static_cast<std::size_t>(c)]);
+        }
+        pipe.freeze(false);
+
+        // The newest word is live; it leaves the row after exactly
+        // `stages` further commits.
+        Instruction last = random_inst();
+        last.op = OpCode::VAdd;
+        pipe.issue(last);
+        pipe.tickCommit();
+        for (int t = 0; t < stages; ++t) {
+            ASSERT_FALSE(pipe.drained()) << "after " << t << " commits";
+            pipe.tickCommit();
+        }
+        EXPECT_TRUE(pipe.drained());
+    }
 }
 
 TEST(MsgChannel, FixedDeliveryLatency)
